@@ -36,7 +36,7 @@ func (c *memCache) Put(key string, value []byte) {
 	c.m[key] = append([]byte(nil), value...)
 }
 
-func mustSpec(t *testing.T, name string) Spec {
+func mustSpec(t testing.TB, name string) Spec {
 	t.Helper()
 	spec, err := Lookup(name)
 	if err != nil {

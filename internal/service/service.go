@@ -35,6 +35,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -818,11 +819,19 @@ func decodeBody(r *http.Request, out any) error {
 	return nil
 }
 
+// writeJSON encodes v before committing the status, so a value that fails
+// to encode (an invalid enum in a Result, say) is answered with a 500
+// instead of the intended status over a truncated body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		code = http.StatusInternalServerError
+		buf.Reset()
+		json.NewEncoder(&buf).Encode(client.ErrorResponse{Error: "encoding response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.Encode(v)
+	w.Write(buf.Bytes())
 }
 
 func writeError(w http.ResponseWriter, code int, err error) {

@@ -3,6 +3,8 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -384,5 +386,20 @@ func TestHealthLoadGauges(t *testing.T) {
 	c2, _ := newTestDaemon(t, Config{})
 	if h, err := c2.Health(ctx(t)); err != nil || h.BatchWorkers < 1 {
 		t.Fatalf("default batch_workers %+v err=%v", h, err)
+	}
+}
+
+// TestWriteJSONEncodeFailure pins that a reply which fails to encode (here a
+// Result with the invalid zero Model) is a 500 carrying an ErrorResponse,
+// not a 200 with a truncated body.
+func TestWriteJSONEncodeFailure(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, client.RunResponse{Result: &elect.Result{}})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status = %d, want 500", rec.Code)
+	}
+	var e client.ErrorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" {
+		t.Fatalf("body %q is not an ErrorResponse (%v)", rec.Body.String(), err)
 	}
 }
