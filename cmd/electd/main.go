@@ -206,7 +206,7 @@ func run(args []string, w io.Writer, ready chan<- string, stop <-chan struct{}) 
 		handler = outer
 		logger.Printf("pprof mounted on /debug/pprof/")
 	}
-	httpSrv := &http.Server{Handler: handler}
+	httpSrv := newHTTPServer(handler)
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()
 
@@ -228,6 +228,15 @@ func run(args []string, w io.Writer, ready chan<- string, stop <-chan struct{}) 
 		return err
 	}
 	return nil
+}
+
+// newHTTPServer wraps the daemon's handler. It sets ReadHeaderTimeout only,
+// so a client that trickles header bytes cannot pin a connection and its
+// goroutine forever. ReadTimeout and WriteTimeout stay unset on purpose:
+// they bound the whole request and response, and would cut the SSE streams
+// (/v1/events/stream, /v1/jobs/<id>) and long synchronous batches.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second}
 }
 
 func cacheDesc(disabled bool, dir string) string {

@@ -3,7 +3,10 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
+	"net"
+	"net/http"
 	"testing"
 	"time"
 
@@ -171,6 +174,54 @@ func TestElectdFlagErrors(t *testing.T) {
 	}
 	if err := run([]string{"-addr", "256.256.256.256:99999"}, io.Discard, nil, nil); err == nil {
 		t.Fatal("bad address accepted")
+	}
+}
+
+// TestElectdHeaderTimeout pins the slow-header hardening: the daemon's
+// server disconnects a client that trickles request headers, while the
+// whole-request Read and Write timeouts stay unset so that SSE streams and
+// long batches are never cut. The live check shortens the header timeout
+// to keep the test fast.
+func TestElectdHeaderTimeout(t *testing.T) {
+	srv := newHTTPServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout <= 0 || srv.ReadTimeout != 0 || srv.WriteTimeout != 0 {
+		t.Fatalf("timeouts: header %v, read %v, write %v; want header > 0, read = write = 0",
+			srv.ReadHeaderTimeout, srv.ReadTimeout, srv.WriteTimeout)
+	}
+
+	srv.ReadHeaderTimeout = 200 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	errCh := make(chan error, 1)
+	go func() { errCh <- srv.Serve(ln) }()
+	defer func() {
+		srv.Close()
+		if err := <-errCh; !errors.Is(err, http.ErrServerClosed) {
+			t.Errorf("serve: %v", err)
+		}
+	}()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// Trickle an incomplete header, one byte per 50 ms, for longer than
+	// the timeout; the server must hang up rather than wait for the rest.
+	start := time.Now()
+	for _, b := range []byte("GET /healthz HTTP/1.1\r\nHost: x\r\n") {
+		if _, err := conn.Write([]byte{b}); err != nil {
+			break // the server already closed the connection
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	// EOF or a reset both mean the server hung up; only our own read
+	// deadline firing means it is still waiting for the header.
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	var ne net.Error
+	if _, err := io.ReadAll(conn); errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("slow-header connection still open after %v", time.Since(start))
 	}
 }
 

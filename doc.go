@@ -78,8 +78,8 @@
 //
 // The deterministic engines are built for large-n sweeps: pooled inbox
 // arenas and send buffers (internal/proto), flat open-addressing tables
-// under the lazy port wirings (internal/flatmap), a boxing-free event heap
-// in the async simulator, and work-stealing shards in elect.RunMany. A
+// under the lazy port wirings (internal/flatmap), a ring-plus-heap event
+// queue in the async simulator, and work-stealing shards in elect.RunMany. A
 // single tradeoff election at n = 2^20 completes in tens of seconds on one
 // core. ARCHITECTURE.md fixes the layer stack and the determinism contract
 // all of this preserves; PERFORMANCE.md documents the benchmark workflow,

@@ -6,7 +6,7 @@ import (
 )
 
 // TestPooledReuseIdentity is the pooling contract of the engine overhaul:
-// the engines recycle inbox arenas, port-map tables, event heaps and send
+// the engines recycle inbox arenas, port-map tables, event queues and send
 // buffers across runs, and none of that reuse may leak state between
 // executions. For every registered spec on every deterministic engine it
 // supports, a run repeated on warm pools must reproduce the cold run's

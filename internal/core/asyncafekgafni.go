@@ -61,6 +61,10 @@ type AsyncAfekGafni struct {
 	queue     []reqEntry
 
 	dec proto.Decision
+
+	// Per-callback send accumulator. The engine consumes the slice flush
+	// returns before the next callback on this instance, so the backing
+	// array is reused across calls.
 	out []proto.Send
 }
 
@@ -263,7 +267,7 @@ func (g *AsyncAfekGafni) send(port int, m proto.Message) {
 
 func (g *AsyncAfekGafni) flush() []proto.Send {
 	out := g.out
-	g.out = nil
+	g.out = g.out[:0]
 	return out
 }
 

@@ -13,8 +13,8 @@
 // The adversary model matches Section 5: the port mapping is fixed
 // obliviously (before any node wakes, independent of the nodes' coins),
 // while the schedule (delays) may be adaptive. Determinism: the event queue
-// is a binary heap ordered by (time, sequence number), so identical seeds
-// reproduce identical executions.
+// pops in (time, sequence number) order, so identical seeds reproduce
+// identical executions.
 package simasync
 
 import (
@@ -336,28 +336,27 @@ type event struct {
 	d    proto.Delivery
 }
 
-// eventHeap is a hand-rolled binary min-heap over (time, seq). It replaces
-// container/heap on the event loop's hottest edge: the standard library's
-// interface-based Push boxes every event into an allocation, which at one
-// event per message dominated the simulator's allocation profile. (time,
-// seq) is a total order — seq is unique — so the pop sequence is the sorted
-// order regardless of heap internals, and executions are byte-identical to
-// the container/heap implementation.
-type eventHeap []event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
+// before reports whether a precedes b in the event loop's (time, seq)
+// order. seq is unique, so this is a total order and the pop sequence is
+// fully determined by the pushed events, whatever structure holds them.
+func before(a, b *event) bool {
+	if a.time != b.time {
+		return a.time < b.time
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
+
+// eventHeap is a hand-rolled binary min-heap over (time, seq), holding the
+// out-of-order pushes of an eventQueue. It avoids container/heap, whose
+// interface-based Push boxes every event into an allocation.
+type eventHeap []event
 
 func (h *eventHeap) push(e event) {
 	*h = append(*h, e)
 	q := *h
 	for i := len(q) - 1; i > 0; {
 		parent := (i - 1) / 2
-		if !q.less(i, parent) {
+		if !before(&q[i], &q[parent]) {
 			break
 		}
 		q[i], q[parent] = q[parent], q[i]
@@ -375,10 +374,10 @@ func (h *eventHeap) pop() event {
 	for i := 0; ; {
 		l, r := 2*i+1, 2*i+2
 		small := i
-		if l < n && q.less(l, small) {
+		if l < n && before(&q[l], &q[small]) {
 			small = l
 		}
-		if r < n && q.less(r, small) {
+		if r < n && before(&q[r], &q[small]) {
 			small = r
 		}
 		if small == i {
@@ -390,11 +389,69 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
-// scratch is the pooled per-run state of the event loop: the heap's backing
-// array and the FIFO clamp table, both of which reach O(messages) size and
-// are reused across the runs of a sweep.
+// eventQueue is the event loop's priority queue over (time, seq). Most
+// pushes arrive already in order: under unit delays every delivery is
+// scheduled at now+1 with a non-decreasing now, and a simultaneous wake
+// schedule pushes all-equal times. A power-of-two circular FIFO (the ring)
+// takes every push that does not precede the ring's tail, in O(1); only
+// the rest go to the binary heap. pop takes the earlier of the two heads,
+// so the pop sequence is the sorted (time, seq) order, exactly as with a
+// single heap.
+type eventQueue struct {
+	ring []event // len is zero or a power of two; sorted from head
+	head int
+	n    int // events in the ring
+	heap eventHeap
+}
+
+func (q *eventQueue) reset() {
+	q.head, q.n = 0, 0
+	q.heap = q.heap[:0]
+}
+
+func (q *eventQueue) len() int { return q.n + len(q.heap) }
+
+func (q *eventQueue) push(e event) {
+	mask := len(q.ring) - 1
+	if q.n > 0 && before(&e, &q.ring[(q.head+q.n-1)&mask]) {
+		q.heap.push(e)
+		return
+	}
+	if q.n == len(q.ring) {
+		q.grow()
+		mask = len(q.ring) - 1
+	}
+	q.ring[(q.head+q.n)&mask] = e
+	q.n++
+}
+
+func (q *eventQueue) pop() event {
+	if q.n > 0 && (len(q.heap) == 0 || before(&q.ring[q.head], &q.heap[0])) {
+		e := q.ring[q.head]
+		q.head = (q.head + 1) & (len(q.ring) - 1)
+		q.n--
+		return e
+	}
+	return q.heap.pop()
+}
+
+// grow doubles the ring, unwrapping its contents to start at index 0.
+func (q *eventQueue) grow() {
+	size := 2 * len(q.ring)
+	if size == 0 {
+		size = 256
+	}
+	ring := make([]event, size)
+	k := copy(ring, q.ring[q.head:])
+	copy(ring[k:], q.ring[:q.head])
+	q.ring, q.head = ring, 0
+}
+
+// scratch is the pooled per-run state of the event loop: the event queue's
+// ring and heap, and the FIFO clamp table, all of which reach O(messages)
+// size and are reused across the runs of a sweep.
 type scratch struct {
-	h     eventHeap
+	q     eventQueue
 	sched flatmap.U64Map // directed link -> last delivery time bits (FIFO clamp)
 }
 
@@ -402,9 +459,22 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 func getScratch() *scratch {
 	s := scratchPool.Get().(*scratch)
-	s.h = s.h[:0]
+	s.q.reset()
 	s.sched.Reset()
 	return s
+}
+
+// linkConstant reports whether the policy gives every directed link a
+// constant delay. Then at = now + d(link) is non-decreasing per link,
+// because the event loop's now never decreases (and rounding of the sum is
+// monotone), so the FIFO clamp can never bind and is skipped. Every other
+// policy, custom ones included, keeps the clamp.
+func linkConstant(p DelayPolicy) bool {
+	switch p.(type) {
+	case UnitDelay, SkewDelay:
+		return true
+	}
+	return false
 }
 
 // Run executes the configured asynchronous algorithm to quiescence.
@@ -481,7 +551,7 @@ func Run(cfg Config, factory Factory) (*Result, error) {
 	push := func(e event) {
 		e.seq = seq
 		seq++
-		sc.h.push(e)
+		sc.q.push(e)
 	}
 	firstWake := cfg.Wake[0].Time
 	for _, w := range cfg.Wake {
@@ -509,6 +579,7 @@ func Run(cfg Config, factory Factory) (*Result, error) {
 
 	inj := cfg.Faults
 	kindAware, _ := delays.(KindAwareDelayPolicy)
+	clamp := !linkConstant(delays)
 	// degOf and dest abstract over the two wirings: the implicit clique
 	// (portmap) and an explicit topology.
 	degOf := func(int) int { return n - 1 }
@@ -560,13 +631,15 @@ func Run(cfg Config, factory Factory) (*Result, error) {
 					d = 1
 				}
 				at := now + d
-				lk := linkKey(u, v)
-				if bits, ok := sc.sched.Get(lk); ok {
-					if prev := math.Float64frombits(bits); at < prev {
-						at = prev // FIFO: no overtaking on a link
+				if clamp {
+					lk := linkKey(u, v)
+					if bits, ok := sc.sched.Get(lk); ok {
+						if prev := math.Float64frombits(bits); at < prev {
+							at = prev // FIFO: no overtaking on a link
+						}
 					}
+					sc.sched.Put(lk, math.Float64bits(at))
 				}
-				sc.sched.Put(lk, math.Float64bits(at))
 				push(event{time: at, kind: evDeliver, node: v, d: proto.Delivery{Port: q, Msg: s.Msg}})
 			}
 		}
@@ -574,13 +647,13 @@ func Run(cfg Config, factory Factory) (*Result, error) {
 	}
 
 	var processed int64
-	for len(sc.h) > 0 {
+	for sc.q.len() > 0 {
 		if processed >= maxEvents {
 			res.TimedOut = true
 			break
 		}
 		processed++
-		e := sc.h.pop()
+		e := sc.q.pop()
 		u := e.node
 		if inj != nil {
 			// Fault hook: adaptive adversary tick, then the crash check for
