@@ -1,7 +1,15 @@
-// Command sweep measures one algorithm across network sizes and parameter
+// Command sweep measures algorithms across network sizes and parameter
 // values, printing a table (or CSV) with mean messages, rounds/time, and a
 // fitted message-complexity exponent. Runs fan out over a worker pool
 // (elect.RunMany), so wide sweeps use every core.
+//
+// The -crash and -drop flags add fault-rate axes (comma lists, default 0)
+// and -faults sets a base fault plan (elect.ParseFaults syntax) applied to
+// every cell, so the same command measures election resilience: fault runs
+// add crash/drop columns and the mean crashed/dropped/duplicated counters.
+// The -algo flag takes a comma list; "all" selects every fault-qualified
+// spec (elect.Spec.FaultTolerant). Every cell is one electd batch request
+// (client.BatchRequest), resolved locally or shipped to a fleet as is.
 //
 // The -json flag additionally writes the rows as machine-readable benchmark
 // output ("auto" names the file BENCH_<date>.json), so perf trajectories can
@@ -9,7 +17,7 @@
 // prior file and fails on >10% regressions. The -cache flag stores every
 // run's result in a persistent content-addressed cache (shared with electd
 // and any other elect.Cache consumer), so repeated sweeps replay instead of
-// recompute.
+// recompute; adaptive fault plans always re-execute.
 //
 // The -workers flag is dual-mode: an integer bounds the local worker pool,
 // while a comma-separated host list shards the sweep across that fleet of
@@ -33,12 +41,15 @@
 //	sweep -algo tradeoff -ns 4096,8192 -seeds 50 -workers host1:8090,host2:8090
 //	sweep -algo tradeoff -ns 1024 -seeds 20 -workers host1:8090,host2:8090 -trace-out sweep.trace.json
 //	sweep -algo kuttenmoses -topo ring,torus,rreg:d=8 -ns 256,1024,4096
+//	sweep -algo tradeoff,asynctradeoff -ns 64,128 -drop 0,0.05,0.1,0.2
+//	sweep -algo all -ns 128 -crash 0,0.1,0.3 -faults dup=0.02,adaptive=1 -csv
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -46,7 +57,6 @@ import (
 
 	"cliquelect/elect"
 	"cliquelect/elect/client"
-	"cliquelect/internal/cliutil"
 	"cliquelect/internal/distrib"
 	"cliquelect/internal/obs"
 	"cliquelect/internal/resultcache"
@@ -54,57 +64,81 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "sweep:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	var (
-		algo     = fs.String("algo", "tradeoff", "algorithm name")
-		nsFlag   = fs.String("ns", "256,512,1024,2048", "comma-separated network sizes")
-		kFlag    = fs.String("k", "3", "comma-separated k values (tradeoff-family algorithms)")
-		d        = fs.Int("d", 2, "smallid d")
-		g        = fs.Int("g", 1, "smallid g")
-		eps      = fs.Float64("eps", 1.0/16, "advwake epsilon")
-		seeds    = fs.Int("seeds", 10, "runs per configuration")
-		seed     = fs.Uint64("seed", 1, "master seed")
-		wake     = fs.Int("wake", 0, "adversarial wake-up set size (0 = simultaneous)")
-		policy   = fs.String("policy", "unit", "async delay policy")
-		workers  = fs.String("workers", "0", "parallel runs (0 = GOMAXPROCS), or a comma-separated electd host list for fleet dispatch")
-		csv      = fs.Bool("csv", false, "emit CSV instead of an aligned table")
-		jsonOut  = fs.String("json", "", `also write machine-readable benchmark JSON to this path ("auto" = BENCH_<date>.json)`)
-		compare  = fs.String("compare", "", "diff the new rows against this prior BENCH_*.json and fail on >10% regressions")
-		cacheDir = fs.String("cache", "", "persistent result-cache directory; repeated sweeps replay cached runs")
-		topoFlag = fs.String("topo", "", "comma-separated topology specs swept as an extra axis, e.g. ring,torus,rreg:d=8 (empty = clique)")
-		traceOut = fs.String("trace-out", "", "trace the sweep and write Chrome trace-event JSON (about:tracing / Perfetto) to this path")
+		algo      = fs.String("algo", "tradeoff", `comma-separated algorithm names, or "all" for every fault-qualified spec`)
+		nsFlag    = fs.String("ns", "256,512,1024,2048", "comma-separated network sizes")
+		kFlag     = fs.String("k", "3", "comma-separated k values (tradeoff-family algorithms)")
+		d         = fs.Int("d", 2, "smallid d")
+		g         = fs.Int("g", 1, "smallid g")
+		eps       = fs.Float64("eps", 1.0/16, "advwake epsilon")
+		seeds     = fs.Int("seeds", 10, "runs per configuration")
+		seed      = fs.Uint64("seed", 1, "master seed")
+		wake      = fs.Int("wake", 0, "adversarial wake-up set size (0 = simultaneous)")
+		policy    = fs.String("policy", "unit", "async delay policy")
+		workers   = fs.String("workers", "0", "parallel runs (0 = GOMAXPROCS), or a comma-separated electd host list for fleet dispatch")
+		csv       = fs.Bool("csv", false, "emit CSV instead of an aligned table")
+		jsonOut   = fs.String("json", "", `also write machine-readable benchmark JSON to this path ("auto" = BENCH_<date>.json)`)
+		compare   = fs.String("compare", "", "diff the new rows against this prior BENCH_*.json and fail on >10% regressions")
+		cacheDir  = fs.String("cache", "", "persistent result-cache directory; repeated sweeps replay cached runs (adaptive plans always re-execute)")
+		topoFlag  = fs.String("topo", "", "comma-separated topology specs swept as an extra axis, e.g. ring,torus,rreg:d=8 (empty = clique)")
+		traceOut  = fs.String("trace-out", "", "trace the sweep and write Chrome trace-event JSON (about:tracing / Perfetto) to this path")
+		crashFlag = fs.String("crash", "0", "comma-separated node-crash rates swept as an extra axis")
+		dropFlag  = fs.String("drop", "0", "comma-separated message-drop rates swept as an extra axis")
+		base      = fs.String("faults", "", "base fault plan applied to every cell, elect.ParseFaults syntax (e.g. dup=0.02,dropfirst=4,adaptive=1); crash/drop belong to the -crash/-drop axes")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	spec, err := elect.Lookup(*algo)
+	specs, err := resolveSpecs(*algo)
 	if err != nil {
 		return err
 	}
-	delays, err := elect.ParseDelays(*policy)
+	// An empty seed list would silently default to seed 1 (and a negative
+	// count cannot be allocated), so demand at least one run per cell.
+	if *seeds < 1 {
+		return fmt.Errorf("-seeds %d: need at least one run per configuration", *seeds)
+	}
+	if _, err := elect.ParseDelays(*policy); err != nil {
+		return err
+	}
+	basePlan, err := elect.ParseFaults(*base)
 	if err != nil {
 		return err
 	}
-	ns, err := cliutil.ParseInts(*nsFlag)
+	// The sweep axes own the crash and drop rates; a base plan that also sets
+	// them would be silently overwritten per cell, so reject the conflict.
+	if basePlan.CrashRate != 0 || basePlan.DropRate != 0 {
+		return fmt.Errorf("set crash/drop rates via the -crash/-drop sweep axes, not -faults")
+	}
+	ns, err := parseInts(*nsFlag)
 	if err != nil {
 		return err
 	}
-	ks, err := cliutil.ParseInts(*kFlag)
+	ks, err := parseInts(*kFlag)
 	if err != nil {
 		return err
 	}
-	localWorkers, fleetHosts, err := cliutil.ParseWorkers(*workers)
+	crashes, err := parseFloats(*crashFlag)
 	if err != nil {
 		return err
 	}
-	// -trace-out roots one trace over the whole invocation: every per-k
+	drops, err := parseFloats(*dropFlag)
+	if err != nil {
+		return err
+	}
+	localWorkers, fleetHosts, err := parseWorkers(*workers)
+	if err != nil {
+		return err
+	}
+	// -trace-out roots one trace over the whole invocation: every cell's
 	// batch (local) or grid (fleet) rides under the same sweep span, so the
 	// exported file shows the full client→coordinator→worker waterfall.
 	var spanCol *obs.SpanCollector
@@ -128,62 +162,97 @@ func run(args []string) error {
 	}
 	topos := splitTopos(*topoFlag)
 
-	var table *stats.Table
-	if len(topos) > 0 {
-		table = stats.NewTable("topo", "k", "n", "mean msgs", "std", "mean time", "success")
-	} else {
-		table = stats.NewTable("k", "n", "mean msgs", "std", "mean time", "success")
+	// Optional columns appear only when their axis is in play, so a plain
+	// single-algorithm clique sweep keeps its original layout.
+	multiAlgo := len(specs) > 1
+	faulty := strings.TrimSpace(*base) != "" || len(crashes) > 1 || len(drops) > 1 ||
+		crashes[0] != 0 || drops[0] != 0
+	var header []string
+	if multiAlgo {
+		header = append(header, "algo")
 	}
+	if len(topos) > 0 {
+		header = append(header, "topo")
+	}
+	header = append(header, "k")
+	if faulty {
+		header = append(header, "crash", "drop")
+	}
+	header = append(header, "n", "mean msgs", "std", "mean time", "success")
+	if faulty {
+		header = append(header, "crashed", "dropped", "dup'd")
+	}
+	table := stats.NewTable(header...)
+
 	bench := benchFile{
 		Date: time.Now().UTC().Format("2006-01-02"), Algo: *algo, Seeds: *seeds,
 	}
 	cells := 0
 	start := time.Now()
-	for _, k := range ks {
-		opts := []elect.Option{
-			elect.WithParams(elect.Params{K: k, D: *d, G: *g, Eps: *eps}),
-			elect.WithWake(*wake),
+	// One cell per algo × k × crash × drop, in that order; each cell is
+	// one RunMany over the topo × n × seed grid.
+	type cell struct {
+		spec   elect.Spec
+		k      int
+		cr, dr float64
+	}
+	var grid []cell
+	for _, spec := range specs {
+		for _, k := range ks {
+			for _, cr := range crashes {
+				for _, dr := range drops {
+					grid = append(grid, cell{spec, k, cr, dr})
+				}
+			}
+		}
+	}
+	for _, c := range grid {
+		spec, k, cr, dr := c.spec, c.k, c.cr, c.dr
+		// The cell is exactly the batch request electd would receive: the
+		// local run resolves it and a fleet gets its Options verbatim, so
+		// the two cannot disagree.
+		req := client.BatchRequest{
+			Spec:      spec.Name,
+			Ns:        ns,
+			SeedBase:  *seed + uint64(k)*104729,
+			SeedCount: *seeds,
+			Topos:     topos,
+			Workers:   localWorkers,
+			Options: client.Options{
+				Params: &client.ParamSpec{K: &k, D: d, G: g, Eps: eps},
+				Wake:   *wake,
+				Faults: cellFaults(*base, cr, dr),
+			},
 		}
 		if spec.Model == elect.Async {
-			opts = append(opts, elect.WithDelays(delays))
+			req.Delays = *policy
 		}
-		b := elect.Batch{
-			Ns:      ns,
-			Seeds:   elect.Seeds(*seed+uint64(k)*104729, *seeds),
-			Topos:   topos,
-			Options: opts,
-			Workers: localWorkers,
+		_, b, err := req.Resolve()
+		if err != nil {
+			return err
 		}
 		if cache != nil {
 			b.Cache = cache
 		}
 		if fleet != nil {
-			// The wire options must describe exactly what opts above does, so
-			// a remote cell is byte-identical to a local one.
-			kk, dd, gg, ee := k, *d, *g, *eps
-			wire := client.Options{
-				Params: &client.ParamSpec{K: &kk, D: &dd, G: &gg, Eps: &ee},
-				Wake:   *wake,
-			}
-			if spec.Model == elect.Async {
-				wire.Delays = *policy
-			}
-			b.Remote = fleet.Runner(wire)
+			b.Remote = fleet.Runner(req.Options)
 		}
-		kStart := time.Now()
+		cellStart := time.Now()
 		batch, err := elect.RunMany(spec, b)
 		if err != nil {
 			return err
 		}
 		if spanCol != nil && fleet == nil {
-			// Local mode has no grid spans, so give each k iteration its own
-			// span under the sweep root (fleet mode gets them from distrib).
+			// Local mode has no grid spans, so give each cell its own span
+			// under the sweep root (fleet mode gets them from distrib).
 			sc := traceRoot.Child()
 			spanCol.Add(obs.Span{
 				Trace: sc.Trace, ID: sc.Span, Parent: traceRoot.Span,
 				Name: "batch", Service: "sweep",
-				Start: kStart.UnixMicro(), Dur: time.Since(kStart).Microseconds(),
-				Attrs: map[string]string{"k": strconv.Itoa(k), "cells": strconv.Itoa(len(batch.Runs))},
+				Start: cellStart.UnixMicro(), Dur: time.Since(cellStart).Microseconds(),
+				Attrs: map[string]string{
+					"algo": spec.Name, "k": strconv.Itoa(k), "cells": strconv.Itoa(len(batch.Runs)),
+				},
 			})
 		}
 		cells += len(batch.Runs)
@@ -198,49 +267,71 @@ func run(args []string) error {
 			}
 			fitXs[agg.Topo] = append(fitXs[agg.Topo], float64(agg.N))
 			fitYs[agg.Topo] = append(fitYs[agg.Topo], agg.Messages.Mean)
-			success := fmt.Sprintf("%d/%d", agg.Successes, agg.Runs)
-			if len(topos) > 0 {
-				table.AddRow(agg.Topo, k, agg.N, agg.Messages.Mean, agg.Messages.Std, agg.Time.Mean, success)
-			} else {
-				table.AddRow(k, agg.N, agg.Messages.Mean, agg.Messages.Std, agg.Time.Mean, success)
+			var row []any
+			if multiAlgo {
+				row = append(row, spec.Name)
 			}
+			if len(topos) > 0 {
+				row = append(row, agg.Topo)
+			}
+			row = append(row, k)
+			if faulty {
+				row = append(row, cr, dr)
+			}
+			row = append(row, agg.N, agg.Messages.Mean, agg.Messages.Std, agg.Time.Mean,
+				fmt.Sprintf("%d/%d", agg.Successes, agg.Runs))
+			if faulty {
+				row = append(row, agg.MeanCrashed, agg.MeanDropped, agg.MeanDuplicated)
+			}
+			table.AddRow(row...)
 			bench.Rows = append(bench.Rows, benchRow{
-				Algo: *algo, Topo: agg.Topo, K: k, N: agg.N,
+				Algo: spec.Name, Topo: agg.Topo, Faults: req.Faults, K: k, N: agg.N,
 				MeanMsgs: agg.Messages.Mean, StdMsgs: agg.Messages.Std,
 				MeanTime: agg.Time.Mean, SuccessRate: agg.SuccessRate,
 			})
 		}
-		if len(ns) >= 2 {
-			for _, topoName := range fitOrder {
-				fit, err := stats.FitPower(fitXs[topoName], fitYs[topoName])
-				if err != nil {
-					continue
-				}
-				if topoName != "" {
-					fmt.Printf("# k=%d topo=%s: %s\n", k, topoName, fit)
-				} else {
-					fmt.Printf("# k=%d: %s\n", k, fit)
-				}
-				bench.Fits = append(bench.Fits, benchFit{K: k, Topo: topoName, Fit: fit.String()})
+		if len(ns) < 2 {
+			continue
+		}
+		fit := benchFit{K: k, Faults: req.Faults}
+		label := fmt.Sprintf("k=%d", k)
+		if multiAlgo {
+			fit.Algo = spec.Name
+			label = "algo=" + spec.Name + " " + label
+		}
+		for _, topoName := range fitOrder {
+			pf, err := stats.FitPower(fitXs[topoName], fitYs[topoName])
+			if err != nil {
+				continue
 			}
+			l := label
+			if topoName != "" {
+				l += " topo=" + topoName
+			}
+			if faulty {
+				l += fmt.Sprintf(" crash=%v drop=%v", cr, dr)
+			}
+			fmt.Fprintf(w, "# %s: %s\n", l, pf)
+			fit.Topo, fit.Fit = topoName, pf.String()
+			bench.Fits = append(bench.Fits, fit)
 		}
 	}
 	elapsed := time.Since(start)
 	if *csv {
 		// CSV output stays a pure function of the flags (no timing line), so
 		// it can be diffed and machine-consumed.
-		fmt.Print(table.CSV())
+		fmt.Fprint(w, table.CSV())
 	} else {
-		fmt.Print(table.String())
-		fmt.Printf("# %d cells in %v (%.0f cells/s)\n",
+		fmt.Fprint(w, table.String())
+		fmt.Fprintf(w, "# %d cells in %v (%.0f cells/s)\n",
 			cells, elapsed.Round(time.Millisecond), float64(cells)/elapsed.Seconds())
 	}
 	if fleet != nil && !*csv {
-		fmt.Print(fleet.Stats())
+		fmt.Fprint(w, fleet.Stats())
 	}
 	if cache != nil {
 		s := cache.Stats()
-		fmt.Printf("# cache: %d hits (%d from disk), %d misses\n", s.Hits, s.DiskHits, s.Misses)
+		fmt.Fprintf(w, "# cache: %d hits (%d from disk), %d misses\n", s.Hits, s.DiskHits, s.Misses)
 	}
 	if *jsonOut != "" {
 		path := *jsonOut
@@ -250,10 +341,10 @@ func run(args []string) error {
 		if err := writeBenchJSON(path, bench); err != nil {
 			return err
 		}
-		fmt.Printf("# wrote %s\n", path)
+		fmt.Fprintf(w, "# wrote %s\n", path)
 	}
 	if *compare != "" {
-		if err := compareBench(*compare, bench); err != nil {
+		if err := compareBench(w, *compare, bench); err != nil {
 			return err
 		}
 	}
@@ -264,11 +355,11 @@ func run(args []string) error {
 			Start: start.UnixMicro(), Dur: elapsed.Microseconds(),
 			Attrs: map[string]string{"algo": *algo, "cells": strconv.Itoa(cells)},
 		})
-		if err := writeTrace(*traceOut, spanCol.Trace(traceRoot.Trace), !*csv); err != nil {
+		if err := writeTrace(w, *traceOut, spanCol.Trace(traceRoot.Trace), !*csv); err != nil {
 			return err
 		}
 		if !*csv {
-			fmt.Printf("# wrote %s (trace %s, %d spans)\n",
+			fmt.Fprintf(w, "# wrote %s (trace %s, %d spans)\n",
 				*traceOut, traceRoot.Trace, spanCol.Len())
 		}
 	}
@@ -276,9 +367,9 @@ func run(args []string) error {
 }
 
 // writeTrace exports the sweep's spans as Chrome trace-event JSON and, when
-// verbose, prints an ASCII waterfall of the slowest chunk dispatch — the
-// at-a-glance answer to "where did the time go".
-func writeTrace(path string, spans []obs.Span, verbose bool) error {
+// verbose, prints an ASCII waterfall of the slowest chunk dispatch to w —
+// the at-a-glance answer to "where did the time go".
+func writeTrace(w io.Writer, path string, spans []obs.Span, verbose bool) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -303,9 +394,9 @@ func writeTrace(path string, spans []obs.Span, verbose bool) error {
 		}
 	}
 	if slowest != nil {
-		fmt.Printf("# slowest chunk dispatch (%s cells [%s, +%s)):\n",
+		fmt.Fprintf(w, "# slowest chunk dispatch (%s cells [%s, +%s)):\n",
 			slowest.Attrs["worker"], slowest.Attrs["start"], slowest.Attrs["count"])
-		obs.Waterfall(os.Stdout, "# ", *slowest, spans, 48)
+		obs.Waterfall(w, "# ", *slowest, spans, 48)
 	}
 	return nil
 }
@@ -315,10 +406,10 @@ func writeTrace(path string, spans []obs.Span, verbose bool) error {
 const regressionThreshold = 0.10
 
 // compareBench diffs the fresh rows against a prior benchFile, matching on
-// (algo, k, n): mean messages or mean time more than 10% above the prior
+// (algo, topo, faults, k, n): mean messages or mean time more than 10% above the prior
 // value — or a success rate more than 10% below it — is a regression, and
 // any regression makes the sweep exit non-zero so CI can gate on it.
-func compareBench(path string, fresh benchFile) error {
+func compareBench(w io.Writer, path string, fresh benchFile) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -328,12 +419,12 @@ func compareBench(path string, fresh benchFile) error {
 		return fmt.Errorf("parsing %s: %w", path, err)
 	}
 	type rowKey struct {
-		algo, topo string
-		k, n       int
+		algo, topo, faults string
+		k, n               int
 	}
 	old := make(map[rowKey]benchRow, len(prior.Rows))
 	for _, r := range prior.Rows {
-		old[rowKey{r.Algo, r.Topo, r.K, r.N}] = r
+		old[rowKey{r.Algo, r.Topo, r.Faults, r.K, r.N}] = r
 	}
 	matched, regressions := 0, 0
 	flag := func(r benchRow, metric string, was, is float64) {
@@ -342,11 +433,14 @@ func compareBench(path string, fresh benchFile) error {
 		if r.Topo != "" {
 			label += " topo=" + r.Topo
 		}
-		fmt.Printf("# REGRESSION %s k=%d n=%d %s: %.4g -> %.4g (%+.1f%%)\n",
+		if r.Faults != "" {
+			label += " faults=" + r.Faults
+		}
+		fmt.Fprintf(w, "# REGRESSION %s k=%d n=%d %s: %.4g -> %.4g (%+.1f%%)\n",
 			label, r.K, r.N, metric, was, is, 100*(is-was)/was)
 	}
 	for _, r := range fresh.Rows {
-		o, ok := old[rowKey{r.Algo, r.Topo, r.K, r.N}]
+		o, ok := old[rowKey{r.Algo, r.Topo, r.Faults, r.K, r.N}]
 		if !ok {
 			continue
 		}
@@ -361,10 +455,10 @@ func compareBench(path string, fresh benchFile) error {
 			flag(r, "success_rate", o.SuccessRate, r.SuccessRate)
 		}
 	}
-	fmt.Printf("# compare: %d/%d rows matched against %s, %d regressions\n",
+	fmt.Fprintf(w, "# compare: %d/%d rows matched against %s, %d regressions\n",
 		matched, len(fresh.Rows), path, regressions)
 	if matched == 0 {
-		return fmt.Errorf("no rows of this sweep match %s (algo/k/n differ)", path)
+		return fmt.Errorf("no rows of this sweep match %s (algo/topo/faults/k/n differ)", path)
 	}
 	if regressions > 0 {
 		return fmt.Errorf("%d regressions >%d%% vs %s", regressions, int(100*regressionThreshold), path)
@@ -373,7 +467,7 @@ func compareBench(path string, fresh benchFile) error {
 }
 
 // benchFile is the machine-readable benchmark artifact written by -json: one
-// sweep invocation, its per-(k, n) measurements and the fitted exponents.
+// sweep invocation, its per-cell measurements and the fitted exponents.
 // The schema is append-friendly so the perf trajectory (BENCH_<date>.json
 // files across commits) stays diffable.
 type benchFile struct {
@@ -384,9 +478,13 @@ type benchFile struct {
 	Fits  []benchFit `json:"fits,omitempty"`
 }
 
+// benchRow is one (algo, topo, faults, k, n) aggregate. Faults is the cell's
+// full fault plan in elect.ParseFaults syntax (empty without faults), so
+// rows of a fault sweep stay distinct in the file and in -compare.
 type benchRow struct {
 	Algo        string  `json:"algo"`
 	Topo        string  `json:"topo,omitempty"`
+	Faults      string  `json:"faults,omitempty"`
 	K           int     `json:"k"`
 	N           int     `json:"n"`
 	MeanMsgs    float64 `json:"mean_msgs"`
@@ -395,30 +493,14 @@ type benchRow struct {
 	SuccessRate float64 `json:"success_rate"`
 }
 
+// benchFit is one fitted exponent; Algo is set only when the sweep covers
+// several algorithms.
 type benchFit struct {
-	K    int    `json:"k"`
-	Topo string `json:"topo,omitempty"`
-	Fit  string `json:"fit"`
-}
-
-// splitTopos parses the -topo flag: a comma-separated list of topology
-// specs, except that an explicit edge list ("edges:0-1,1-2,...") uses commas
-// itself and is taken as one spec.
-func splitTopos(s string) []string {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return nil
-	}
-	if strings.HasPrefix(s, "edges:") {
-		return []string{s}
-	}
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
+	Algo   string `json:"algo,omitempty"`
+	K      int    `json:"k"`
+	Topo   string `json:"topo,omitempty"`
+	Faults string `json:"faults,omitempty"`
+	Fit    string `json:"fit"`
 }
 
 func writeBenchJSON(path string, bench benchFile) error {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -13,27 +14,36 @@ import (
 )
 
 func TestSweepTradeoff(t *testing.T) {
-	if err := run([]string{"-algo", "tradeoff", "-k", "3,4", "-ns", "32,64", "-seeds", "2"}); err != nil {
+	if err := run([]string{"-algo", "tradeoff", "-k", "3,4", "-ns", "32,64", "-seeds", "2"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestSweepAsyncCSV(t *testing.T) {
 	if err := run([]string{"-algo", "asynctradeoff", "-k", "2", "-ns", "32,64",
-		"-seeds", "2", "-wake", "1", "-csv"}); err != nil {
+		"-seeds", "2", "-wake", "1", "-csv"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestSweepErrors(t *testing.T) {
-	if err := run([]string{"-algo", "bogus"}); err == nil {
-		t.Fatal("unknown algorithm accepted")
-	}
-	if err := run([]string{"-ns", "12,abc"}); err == nil {
-		t.Fatal("bad ns accepted")
-	}
-	if err := run([]string{"-k", "x"}); err == nil {
-		t.Fatal("bad k accepted")
+	for _, args := range [][]string{
+		{"-algo", "bogus"},
+		{"-algo", "tradeoff,bogus"},
+		{"-ns", "12,abc"},
+		{"-k", "x"},
+		{"-seeds", "-1"}, // used to panic in elect.Seeds
+		{"-seeds", "0"},  // used to run seed 1 only, whatever -seed said
+		{"-drop", "0,x"},
+		{"-crash", "y"},
+		{"-faults", "bogus=1"},
+		{"-faults", "drop=0.3"}, // the sweep axes own crash/drop rates
+		{"-faults", "crash=0.3"},
+		{"-policy", "bogus"},
+	} {
+		if err := run(args, io.Discard); err == nil {
+			t.Errorf("args %v accepted", args)
+		}
 	}
 }
 
@@ -41,7 +51,7 @@ func TestSweepJSON(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "bench.json")
 	if err := run([]string{"-algo", "tradeoff", "-k", "3", "-ns", "32,64",
-		"-seeds", "2", "-json", path}); err != nil {
+		"-seeds", "2", "-json", path}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -76,11 +86,11 @@ func TestSweepCompare(t *testing.T) {
 	dir := t.TempDir()
 	prior := filepath.Join(dir, "prior.json")
 	args := []string{"-algo", "tradeoff", "-k", "3", "-ns", "32,64", "-seeds", "2"}
-	if err := run(append(args, "-json", prior)); err != nil {
+	if err := run(append(args, "-json", prior), io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	// Same sweep, same seeds: byte-deterministic rows, zero regressions.
-	if err := run(append(args, "-compare", prior)); err != nil {
+	if err := run(append(args, "-compare", prior), io.Discard); err != nil {
 		t.Fatalf("self-comparison flagged regressions: %v", err)
 	}
 
@@ -102,7 +112,7 @@ func TestSweepCompare(t *testing.T) {
 	if err := writeBenchJSON(cheap, doctored); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(append(args, "-compare", cheap)); err == nil {
+	if err := run(append(args, "-compare", cheap), io.Discard); err == nil {
 		t.Fatal("regressions not flagged")
 	}
 
@@ -114,29 +124,41 @@ func TestSweepCompare(t *testing.T) {
 	if err := writeBenchJSON(unmatched, doctored); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(append(args, "-compare", unmatched)); err == nil {
+	if err := run(append(args, "-compare", unmatched), io.Discard); err == nil {
 		t.Fatal("unmatched comparison accepted")
 	}
-	if err := run(append(args, "-compare", filepath.Join(dir, "missing.json"))); err == nil {
+	if err := run(append(args, "-compare", filepath.Join(dir, "missing.json")), io.Discard); err == nil {
 		t.Fatal("missing compare file accepted")
 	}
 }
 
-// TestSweepCacheFlag: -cache persists run results on disk and replays them
-// on the next invocation.
+// TestSweepCacheFlag: -cache persists every run's result on disk, leaves
+// the table untouched cold or warm (fault cells included), and the warm
+// invocation replays every run.
 func TestSweepCacheFlag(t *testing.T) {
 	dir := t.TempDir()
-	args := []string{"-algo", "tradeoff", "-k", "3", "-ns", "32", "-seeds", "2", "-cache", dir}
-	if err := run(args); err != nil {
-		t.Fatal(err)
+	args := []string{"-algo", "tradeoff", "-k", "3", "-ns", "32", "-seeds", "2", "-drop", "0,0.1"}
+	table := func(csv string) string {
+		var rows []string
+		for _, line := range strings.Split(csv, "\n") {
+			if !strings.HasPrefix(line, "#") {
+				rows = append(rows, line)
+			}
+		}
+		return strings.Join(rows, "\n")
 	}
+	plain := sweepCSV(t, args...)
+	cold := sweepCSV(t, append(args, "-cache", dir)...)
 	entries, err := filepath.Glob(filepath.Join(dir, "*", "*.json"))
-	if err != nil || len(entries) != 2 {
-		t.Fatalf("cache dir holds %d entries (err %v), want 2", len(entries), err)
+	if err != nil || len(entries) != 4 {
+		t.Fatalf("cache dir holds %d entries (err %v), want 4", len(entries), err)
 	}
-	// Second invocation replays from the same cache without error.
-	if err := run(args); err != nil {
-		t.Fatal(err)
+	warm := sweepCSV(t, append(args, "-cache", dir)...)
+	if table(plain) != table(cold) || table(cold) != table(warm) {
+		t.Fatalf("cache changed the table:\n%s\n---\n%s\n---\n%s", plain, cold, warm)
+	}
+	if !strings.Contains(warm, ", 0 misses") {
+		t.Fatalf("warm pass was not all hits:\n%s", warm)
 	}
 }
 
@@ -158,20 +180,23 @@ func startWorkers(t *testing.T, n int) string {
 
 // TestSweepFleetMatchesLocal is the multi-worker acceptance check: the
 // same sweep dispatched to two electd workers writes a byte-identical
-// BENCH_*.json to a purely local run, for a sync and an async spec.
+// BENCH_*.json to a purely local run, for a sync and an async spec, and
+// for a fault sweep whose per-cell plans ride the wire as strings.
 func TestSweepFleetMatchesLocal(t *testing.T) {
 	fleet := startWorkers(t, 2)
 	dir := t.TempDir()
 	for name, args := range map[string][]string{
 		"tradeoff":      {"-algo", "tradeoff", "-k", "3,4", "-ns", "32,64", "-seeds", "4"},
 		"asynctradeoff": {"-algo", "asynctradeoff", "-k", "2", "-ns", "32", "-seeds", "4", "-wake", "1"},
+		"faults": {"-algo", "tradeoff,asynctradeoff", "-ns", "32,48", "-seeds", "4",
+			"-drop", "0,0.1", "-crash", "0,0.25", "-faults", "dup=0.05"},
 	} {
 		localPath := filepath.Join(dir, name+"-local.json")
 		fleetPath := filepath.Join(dir, name+"-fleet.json")
-		if err := run(append(args, "-json", localPath)); err != nil {
+		if err := run(append(args, "-json", localPath), io.Discard); err != nil {
 			t.Fatalf("%s local: %v", name, err)
 		}
-		if err := run(append(args, "-json", fleetPath, "-workers", fleet)); err != nil {
+		if err := run(append(args, "-json", fleetPath, "-workers", fleet), io.Discard); err != nil {
 			t.Fatalf("%s fleet: %v", name, err)
 		}
 		local, err := os.ReadFile(localPath)
@@ -189,10 +214,10 @@ func TestSweepFleetMatchesLocal(t *testing.T) {
 }
 
 func TestSweepWorkersFlagErrors(t *testing.T) {
-	if err := run([]string{"-algo", "tradeoff", "-ns", "32", "-seeds", "1", "-workers", "-2"}); err == nil {
+	if err := run([]string{"-algo", "tradeoff", "-ns", "32", "-seeds", "1", "-workers", "-2"}, io.Discard); err == nil {
 		t.Fatal("negative worker count accepted")
 	}
-	if err := run([]string{"-algo", "tradeoff", "-ns", "32", "-seeds", "1", "-workers", "h1,,h2"}); err == nil {
+	if err := run([]string{"-algo", "tradeoff", "-ns", "32", "-seeds", "1", "-workers", "h1,,h2"}, io.Discard); err == nil {
 		t.Fatal("malformed host list accepted")
 	}
 }
@@ -204,7 +229,7 @@ func TestSweepTraceOut(t *testing.T) {
 	fleet := startWorkers(t, 2)
 	path := filepath.Join(t.TempDir(), "sweep.trace.json")
 	if err := run([]string{"-algo", "tradeoff", "-k", "3", "-ns", "32,64",
-		"-seeds", "4", "-workers", fleet, "-trace-out", path}); err != nil {
+		"-seeds", "4", "-workers", fleet, "-trace-out", path}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -253,7 +278,7 @@ func TestSweepTraceOut(t *testing.T) {
 func TestSweepLocalTraceOut(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "local.trace.json")
 	if err := run([]string{"-algo", "tradeoff", "-k", "3,4", "-ns", "32",
-		"-seeds", "2", "-trace-out", path}); err != nil {
+		"-seeds", "2", "-trace-out", path}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)

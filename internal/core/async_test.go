@@ -306,13 +306,6 @@ func TestAsyncLinearBaseline(t *testing.T) {
 	}
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // TestAsyncTradeoffUnderTargetedScheduler stresses Algorithm 2's winner
 // revocation: compete messages crawl (full time unit) while everything else
 // flies, so referees crown early low-rank candidates and must later consult

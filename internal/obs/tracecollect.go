@@ -49,7 +49,6 @@ type spanShard struct {
 	mu   sync.Mutex
 	buf  []entry // ring: slot = writes % cap
 	next int     // write cursor
-	full bool
 }
 
 // SpanCollector stores completed spans in a bounded ring per shard: memory
@@ -95,7 +94,6 @@ func (c *SpanCollector) Add(s Span) {
 		sh.buf = append(sh.buf, entry{seq, s})
 	} else {
 		sh.buf[sh.next] = entry{seq, s}
-		sh.full = true
 	}
 	sh.next = (sh.next + 1) % cap(sh.buf)
 	sh.mu.Unlock()
@@ -313,8 +311,8 @@ func WriteChromeTrace(w io.Writer, spans []Span) error {
 // Waterfall renders an ASCII timeline of root and its descendants among
 // spans: one line per span, indented by tree depth, with a bar scaled to
 // the subtree's wall-clock window and the duration and attributes printed
-// after it. Each line is prefixed with prefix (the sweep CLIs pass "# " to
-// match their comment footers). Children sort by start time, then span id.
+// after it. Each line is prefixed with prefix (cmd/sweep passes "# " to
+// match its comment footers). Children sort by start time, then span id.
 func Waterfall(w io.Writer, prefix string, root Span, spans []Span, width int) {
 	if width <= 0 {
 		width = 40

@@ -226,17 +226,3 @@ func (r *Recorder) union(u, v int) {
 	r.parent[rv] = ru
 	r.size[ru] += r.size[rv]
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
