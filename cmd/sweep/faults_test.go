@@ -204,3 +204,80 @@ func TestSweepFaultsJSON(t *testing.T) {
 		t.Fatal("fault-free sweep matched fault rows")
 	}
 }
+
+func TestSweepFaultFlagErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-drop", "0,x"},
+		{"-crash", "y"},
+		{"-faults", "bogus=1"},
+		{"-faults", "drop=0.3"}, // the sweep axes own crash/drop rates
+		{"-faults", "crash=0.3"},
+		{"-policy", "bogus"},
+	} {
+		if err := run(args, io.Discard); err == nil {
+			t.Errorf("args %v accepted", args)
+		}
+	}
+}
+
+// TestSweepCacheReplay: -cache persists every fault cell's runs on disk,
+// leaves the table untouched cold or warm, and the warm invocation replays
+// every run.
+func TestSweepCacheReplay(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-algo", "tradeoff", "-k", "3", "-ns", "32", "-seeds", "2", "-drop", "0,0.1"}
+	table := func(csv string) string {
+		var rows []string
+		for _, line := range strings.Split(csv, "\n") {
+			if !strings.HasPrefix(line, "#") {
+				rows = append(rows, line)
+			}
+		}
+		return strings.Join(rows, "\n")
+	}
+	plain := sweepCSV(t, args...)
+	cold := sweepCSV(t, append(args, "-cache", dir)...)
+	entries, err := filepath.Glob(filepath.Join(dir, "*", "*.json"))
+	if err != nil || len(entries) != 4 {
+		t.Fatalf("cache dir holds %d entries (err %v), want 4", len(entries), err)
+	}
+	warm := sweepCSV(t, append(args, "-cache", dir)...)
+	if table(plain) != table(cold) || table(cold) != table(warm) {
+		t.Fatalf("cache changed the table:\n%s\n---\n%s\n---\n%s", plain, cold, warm)
+	}
+	if !strings.Contains(warm, ", 0 misses") {
+		t.Fatalf("warm pass was not all hits:\n%s", warm)
+	}
+}
+
+// TestFaultsweepFleetMatchesLocal: a fault sweep dispatched to two electd
+// workers, its per-cell plans riding the wire as strings, prints the same
+// CSV table and writes the same BENCH json bytes as a purely local run.
+func TestFaultsweepFleetMatchesLocal(t *testing.T) {
+	fleet := startWorkers(t, 2)
+	dir := t.TempDir()
+	args := []string{"-algo", "tradeoff,asynctradeoff", "-ns", "32,48", "-seeds", "4",
+		"-drop", "0,0.1", "-crash", "0,0.25", "-faults", "dup=0.05"}
+	if local, remote := sweepCSV(t, args...), sweepCSV(t, append(args, "-workers", fleet)...); local != remote {
+		t.Fatalf("fleet CSV differs from local:\n%s\nvs\n%s", remote, local)
+	}
+	localPath := filepath.Join(dir, "local.json")
+	fleetPath := filepath.Join(dir, "fleet.json")
+	if err := run(append(args, "-json", localPath), io.Discard); err != nil {
+		t.Fatalf("local: %v", err)
+	}
+	if err := run(append(args, "-json", fleetPath, "-workers", fleet), io.Discard); err != nil {
+		t.Fatalf("fleet: %v", err)
+	}
+	localJSON, err := os.ReadFile(localPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleetJSON, err := os.ReadFile(fleetPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(localJSON, fleetJSON) {
+		t.Fatalf("fleet BENCH json differs from local:\n%s\nvs\n%s", fleetJSON, localJSON)
+	}
+}
